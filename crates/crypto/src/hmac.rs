@@ -1,36 +1,84 @@
 //! HMAC-SHA-256 (RFC 2104), validated against the RFC 4231 test vectors.
+//!
+//! [`hmac_sha256`] is the plain definition: four or more SHA-256
+//! compressions per tag, two of them over the key's ipad and opad blocks.
+//! Those two depend only on the key, so `HmacKey` runs them once and keeps
+//! the resulting midstates; every tag it computes then starts from them and
+//! pays only for the message and the outer digest.
 
 use crate::sha256::{Sha256, BLOCK_LEN, OUTPUT_LEN};
+use std::fmt;
+
+/// The key padded (or, if longer than a block, first hashed) to one block.
+fn block_key(key: &[u8]) -> [u8; BLOCK_LEN] {
+    let mut block = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        block[..OUTPUT_LEN].copy_from_slice(&crate::sha256::sha256(key));
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    block
+}
+
+/// A hasher that has absorbed `block_key ^ pad` (one full block).
+fn keyed_hasher(block_key: &[u8; BLOCK_LEN], pad: u8) -> Sha256 {
+    let mut hasher = Sha256::new();
+    hasher.update(&block_key.map(|b| b ^ pad));
+    hasher
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the 64-byte SHA-256 block are first hashed, as required
 /// by RFC 2104; shorter keys are zero-padded.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; OUTPUT_LEN] {
-    let mut block_key = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let hashed = crate::sha256::sha256(key);
-        block_key[..OUTPUT_LEN].copy_from_slice(&hashed);
-    } else {
-        block_key[..key.len()].copy_from_slice(key);
-    }
+    let block_key = block_key(key);
 
-    let mut ipad = [0u8; BLOCK_LEN];
-    let mut opad = [0u8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] = block_key[i] ^ 0x36;
-        opad[i] = block_key[i] ^ 0x5c;
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
+    let mut inner = keyed_hasher(&block_key, 0x36);
     inner.update(message);
     let inner_digest = inner.finalize();
 
-    let mut outer = Sha256::new();
-    outer.update(&opad);
+    let mut outer = keyed_hasher(&block_key, 0x5c);
     outer.update(&inner_digest);
     outer.finalize()
+}
+
+/// An HMAC-SHA-256 key with its ipad and opad blocks already absorbed.
+///
+/// [`mac`](Self::mac) returns exactly what [`hmac_sha256`] returns for the
+/// same key, two compressions sooner: a tag over a 32-byte digest costs two
+/// compressions instead of four.
+#[derive(Clone)]
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Precomputes the ipad and opad midstates of `key`.
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        let block_key = block_key(key);
+        HmacKey {
+            inner: keyed_hasher(&block_key, 0x36),
+            outer: keyed_hasher(&block_key, 0x5c),
+        }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; OUTPUT_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The midstates are as secret as the key they were derived from.
+        write!(f, "HmacKey(…)")
+    }
 }
 
 /// Constant-time comparison of two byte strings of equal length.

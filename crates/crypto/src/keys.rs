@@ -13,7 +13,7 @@
 //! node, exactly like the adversary in the paper's model.
 
 use crate::digest::Digest;
-use crate::hmac::{constant_time_eq, hmac_sha256};
+use crate::hmac::{constant_time_eq, HmacKey};
 use seemore_types::{ClientId, NodeId, ReplicaId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -102,16 +102,22 @@ impl Default for Signature {
 }
 
 /// The signing half held by a single node.
+///
+/// Holds the key's HMAC midstates rather than the key itself, so every
+/// signature skips the two key-block compressions.
 #[derive(Clone, Debug)]
 pub struct Signer {
     node: NodeId,
-    key: SecretKey,
+    key: HmacKey,
 }
 
 impl Signer {
     /// Creates a signer for `node` with the given secret key.
     pub fn new(node: NodeId, key: SecretKey) -> Signer {
-        Signer { node, key }
+        Signer {
+            node,
+            key: HmacKey::new(key.as_bytes()),
+        }
     }
 
     /// The identity this signer signs as.
@@ -121,7 +127,7 @@ impl Signer {
 
     /// Signs an arbitrary byte string.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature(hmac_sha256(self.key.as_bytes(), message))
+        Signature(self.key.mac(message))
     }
 
     /// Signs a digest (the common case for protocol messages: the signed
@@ -133,10 +139,11 @@ impl Signer {
 
 /// The verification half shared by every node in the cluster.
 ///
-/// Cloning a `KeyStore` is cheap (the key table is behind an `Arc`).
+/// Cloning a `KeyStore` is cheap (the key table is behind an `Arc`). The
+/// table holds each key's HMAC midstates, computed once at generation.
 #[derive(Clone, Debug)]
 pub struct KeyStore {
-    keys: Arc<BTreeMap<NodeId, SecretKey>>,
+    keys: Arc<BTreeMap<NodeId, HmacKey>>,
     cluster_seed: u64,
 }
 
@@ -147,11 +154,17 @@ impl KeyStore {
         let mut keys = BTreeMap::new();
         for r in 0..replica_count {
             let node = NodeId::Replica(ReplicaId(r));
-            keys.insert(node, SecretKey::derive(cluster_seed, node));
+            keys.insert(
+                node,
+                HmacKey::new(SecretKey::derive(cluster_seed, node).as_bytes()),
+            );
         }
         for c in 0..client_count {
             let node = NodeId::Client(ClientId(c));
-            keys.insert(node, SecretKey::derive(cluster_seed, node));
+            keys.insert(
+                node,
+                HmacKey::new(SecretKey::derive(cluster_seed, node).as_bytes()),
+            );
         }
         KeyStore {
             keys: Arc::new(keys),
@@ -180,18 +193,16 @@ impl KeyStore {
     /// Byzantine replicas are given the same single signer, never the whole
     /// store's signing capability.
     pub fn signer_for(&self, node: NodeId) -> Option<Signer> {
-        self.keys
-            .get(&node)
-            .map(|key| Signer::new(node, key.clone()))
+        self.keys.get(&node).map(|key| Signer {
+            node,
+            key: key.clone(),
+        })
     }
 
     /// Verifies that `signature` is `node`'s signature over `message`.
     pub fn verify(&self, node: NodeId, message: &[u8], signature: &Signature) -> bool {
         match self.keys.get(&node) {
-            Some(key) => {
-                let expected = hmac_sha256(key.as_bytes(), message);
-                constant_time_eq(&expected, signature.as_bytes())
-            }
+            Some(key) => constant_time_eq(&key.mac(message), signature.as_bytes()),
             None => false,
         }
     }
@@ -205,6 +216,7 @@ impl KeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_sha256;
 
     fn store() -> KeyStore {
         KeyStore::generate(42, 4, 2)
@@ -283,20 +295,121 @@ mod tests {
         assert_ne!(a.as_bytes(), e.as_bytes());
     }
 
+    /// RFC 4231 test cases 1–7 as `(key, data, HMAC-SHA-256 hex prefix)`
+    /// (case 5's published tag is truncated to 128 bits).
+    fn rfc4231() -> Vec<(Vec<u8>, Vec<u8>, &'static str)> {
+        vec![
+            (vec![0x0b; 20], b"Hi There".to_vec(), "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+            (b"Jefe".to_vec(), b"what do ya want for nothing?".to_vec(), "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+            (vec![0xaa; 20], vec![0xdd; 50], "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+            ((1..=25).collect(), vec![0xcd; 50], "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+            (vec![0x0c; 20], b"Test With Truncation".to_vec(), "a3b6167473100ee06e0c796c2955552b"),
+            (vec![0xaa; 131], b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+            (vec![0xaa; 131], b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.".to_vec(), "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+        ]
+    }
+
+    /// The 32-byte secret key with the same HMAC as `key`: HMAC zero-pads
+    /// short keys and replaces keys longer than a block by their SHA-256.
+    fn equivalent_secret(key: &[u8]) -> SecretKey {
+        let mut bytes = [0u8; KEY_LEN];
+        if key.len() > crate::sha256::BLOCK_LEN {
+            bytes = crate::sha256::sha256(key);
+        } else {
+            bytes[..key.len()].copy_from_slice(key);
+        }
+        SecretKey::from_bytes(bytes)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn cached_midstates_reproduce_rfc4231() {
+        let node = NodeId::Replica(ReplicaId(0));
+        for (case, (key, data, expected)) in rfc4231().into_iter().enumerate() {
+            let reference = hmac_sha256(&key, &data);
+            assert!(hex(&reference).starts_with(expected), "case {}", case + 1);
+            assert_eq!(
+                HmacKey::new(&key).mac(&data),
+                reference,
+                "case {}",
+                case + 1
+            );
+            let signer = Signer::new(node, equivalent_secret(&key));
+            assert_eq!(
+                signer.sign(&data).as_bytes(),
+                &reference,
+                "case {}",
+                case + 1
+            );
+        }
+    }
+
+    #[test]
+    fn keystore_verifies_the_reference_tag_of_every_node() {
+        let ks = store();
+        for node in (0..4)
+            .map(|r| NodeId::Replica(ReplicaId(r)))
+            .chain((0..2).map(|c| NodeId::Client(ClientId(c))))
+        {
+            let key = SecretKey::derive(ks.cluster_seed(), node);
+            let tag = Signature::from_bytes(hmac_sha256(key.as_bytes(), b"commit v3 n9"));
+            assert!(ks.verify(node, b"commit v3 n9", &tag));
+            assert_eq!(ks.signer_for(node).unwrap().sign(b"commit v3 n9"), tag);
+        }
+    }
+
     #[test]
     fn debug_does_not_leak_key_material() {
         let key = SecretKey::from_bytes([0xaa; KEY_LEN]);
         let rendered = format!("{key:?}");
         assert!(!rendered.contains("aa"));
+        let signer = Signer::new(NodeId::Replica(ReplicaId(0)), key);
+        assert!(format!("{signer:?}").contains("HmacKey(…)"));
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::hmac::hmac_sha256;
     use proptest::prelude::*;
 
     proptest! {
+        /// Tags from cached midstates equal the plain HMAC for random keys
+        /// (short, one block, and longer than a block) and messages, and a
+        /// flipped message bit, a flipped tag bit or an unknown node all
+        /// fail verification.
+        #[test]
+        fn midstate_tags_equal_plain_hmac(
+            key in proptest::collection::vec(any::<u8>(), 0..200),
+            secret in proptest::collection::vec(any::<u8>(), KEY_LEN..KEY_LEN + 1),
+            msg in proptest::collection::vec(any::<u8>(), 0..300),
+            bit in 0usize..8 * 300,
+        ) {
+            prop_assert_eq!(HmacKey::new(&key).mac(&msg), hmac_sha256(&key, &msg));
+            let secret: [u8; KEY_LEN] = secret.try_into().unwrap();
+            let node = NodeId::Client(ClientId(0));
+            let sig = Signer::new(node, SecretKey::from_bytes(secret)).sign(&msg);
+            prop_assert_eq!(sig.as_bytes(), &hmac_sha256(&secret, &msg));
+
+            let ks = KeyStore::generate(11, 2, 1);
+            let derived = SecretKey::derive(11, node);
+            let sig = Signature::from_bytes(hmac_sha256(derived.as_bytes(), &msg));
+            prop_assert!(ks.verify(node, &msg, &sig));
+            if !msg.is_empty() {
+                let mut flipped = msg.clone();
+                flipped[(bit / 8) % msg.len()] ^= 1 << (bit % 8);
+                prop_assert!(!ks.verify(node, &flipped, &sig));
+            }
+            let mut tag = *sig.as_bytes();
+            tag[(bit / 8) % KEY_LEN] ^= 1 << (bit % 8);
+            prop_assert!(!ks.verify(node, &msg, &Signature::from_bytes(tag)));
+            prop_assert!(!ks.verify(NodeId::Client(ClientId(1)), &msg, &sig));
+        }
+
         /// A signature verifies if and only if node, message and tag all
         /// match.
         #[test]

@@ -7,7 +7,10 @@
 //! the workspace has no external cryptography dependencies:
 //!
 //! * [`mod@sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4),
-//!   validated against the standard test vectors.
+//!   validated against the standard test vectors. It compresses with the
+//!   x86-64 SHA extensions when `is_x86_feature_detected!` reports them and
+//!   with a portable scalar implementation otherwise; the choice is made at
+//!   run time, and the tests hold the two to identical output.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104 / RFC 4231).
 //! * [`Digest`] — a 32-byte message digest.
 //! * [`KeyStore`] / [`SecretKey`] / [`Signature`] — *simulated* digital
@@ -30,8 +33,13 @@
 //!
 //! Signing and verification dominate BFT-lineage throughput profiles (PBFT
 //! and Zyzzyva both report MAC/signature work as the top CPU consumer), so
-//! the two repeated costs around the HMAC itself are engineered away:
+//! the HMAC itself is kept short and the repeated costs around it are
+//! engineered away:
 //!
+//! * **Key blocks**: [`Signer`] and the [`KeyStore`] key table hold each
+//!   key's HMAC ipad/opad midstates, computed once, so a signature or
+//!   verification over a 32-byte digest runs two SHA-256 compressions
+//!   instead of four.
 //! * **Allocation**: the canonical signing bytes of a message are built
 //!   through `SignedPayload::signing_bytes_into` into a per-replica scratch
 //!   buffer (`seemore_wire::SigningScratch`), so the classic

@@ -217,6 +217,9 @@ struct OutState {
     token: u64,
     /// Next redial delay.
     backoff: Duration,
+    /// Whether a connection to this peer was ever established (a later
+    /// one counts as a reconnect, not a first dial).
+    had_connection: bool,
 }
 
 /// One outbound connection (keyed by destination *address*, so every
@@ -1407,7 +1410,6 @@ fn attempt_dial(
                 .push((Instant::now() + delay, Arc::clone(&outbound)));
         }
         Ok(stream) => {
-            shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
             shared
                 .stats
                 .bytes_sent
@@ -1416,6 +1418,8 @@ fn attempt_dial(
             let token = shared.next_token();
             let fd = stream.as_raw_fd();
             let mut state = outbound.state.lock().expect("outbound lock");
+            shared.stats.count_connection(state.had_connection);
+            state.had_connection = true;
             state.stream = Some(stream);
             state.connecting = false;
             state.head_written = 0;
@@ -1756,6 +1760,56 @@ mod tests {
             received.windows(2).all(|w| w[0] < w[1]),
             "received order must be a subsequence of send order: {received:?}"
         );
+        mesh.shutdown();
+    }
+
+    /// `connects` counts first dials and `reconnects` only re-dials of a
+    /// peer that already had a live connection: a fault-free exchange shows
+    /// none, a crash and recovery of the peer at least one.
+    #[test]
+    fn reconnects_count_only_redials_after_a_lost_connection() {
+        let a = replica(0);
+        let b = replica(1);
+        let mesh = ReactorMesh::new(&[a, b]).unwrap();
+        let stats = mesh.stats();
+        let sender = mesh.take_endpoint(a).unwrap();
+        let peer = mesh.take_endpoint(b).unwrap();
+        for seq in 0..8 {
+            sender.send(b, &state_request(seq)).unwrap();
+            peer.send(a, &state_request(seq)).unwrap();
+            assert!(peer.recv_timeout(Duration::from_secs(5)).is_ok());
+            assert!(sender.recv_timeout(Duration::from_secs(5)).is_ok());
+        }
+        assert_eq!((stats.connects(), stats.reconnects()), (2, 0));
+
+        // Crash b (listener gone, connections reset), then recover it on
+        // its address; a keeps sending until a frame arrives on the new
+        // incarnation, which only a re-established connection can carry.
+        let b_addr = mesh.address(b).unwrap();
+        mesh.stop_endpoint(b);
+        drop(peer);
+        let listener = (0..100)
+            .find_map(|_| {
+                TcpListener::bind(b_addr).ok().or_else(|| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    None
+                })
+            })
+            .expect("rebind b's address");
+        let peer = mesh.start_endpoint(b, listener).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "b never heard from a again");
+            sender.send(b, &state_request(100)).unwrap();
+            if peer.recv_timeout(Duration::from_millis(50)).is_ok() {
+                break;
+            }
+        }
+        assert!(
+            stats.reconnects() >= 1,
+            "the lost connection was re-dialled"
+        );
+        assert_eq!(stats.connects(), 2, "a re-dial is not a first dial");
         mesh.shutdown();
     }
 }

@@ -219,6 +219,7 @@ pub struct TransportStats {
     pub(crate) partial_writes: AtomicU64,
     pub(crate) frames_coalesced: AtomicU64,
     pub(crate) encodes_saved: AtomicU64,
+    pub(crate) connects: AtomicU64,
     pub(crate) reconnects: AtomicU64,
 }
 
@@ -299,12 +300,30 @@ impl TransportStats {
         self.encodes_saved.load(Ordering::Relaxed)
     }
 
-    /// Outbound connections established (initial dials included). A mesh
-    /// that never loses a connection shows exactly one per outbound peer;
-    /// every additional count is a rebuild after a failed write — the
-    /// per-peer flakiness signal the replica-health rollup surfaces.
+    /// First connections to an outbound peer: one per peer this endpoint
+    /// ever dialled successfully.
+    pub fn connects(&self) -> u64 {
+        self.connects.load(Ordering::Relaxed)
+    }
+
+    /// Connections re-established to a peer that already had a live one
+    /// (first dials are [`connects`](Self::connects)). A run that never
+    /// loses a connection shows zero; every count is a rebuild after a
+    /// failed write — the per-peer flakiness signal the replica-health
+    /// rollup surfaces.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.load(Ordering::Relaxed)
+    }
+
+    /// Counts an established outbound connection as a first dial or, if
+    /// the peer `had_connection` before, as a reconnect.
+    pub(crate) fn count_connection(&self, had_connection: bool) {
+        let counter = if had_connection {
+            &self.reconnects
+        } else {
+            &self.connects
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -786,6 +805,7 @@ fn writer_loop(local: NodeId, addr: SocketAddr, outbox: Arc<PeerOutbox>, shared:
     // The burst buffer is reused across writes (capacity bounded by
     // MAX_BURST plus one frame), so steady state allocates nothing.
     let mut burst: Vec<u8> = Vec::new();
+    let mut had_connection = false;
     'connection: loop {
         // Sleep until there is something to deliver (or shutdown). The
         // stream, if it existed, was taken down by whoever saw the failure.
@@ -808,7 +828,8 @@ fn writer_loop(local: NodeId, addr: SocketAddr, outbox: Arc<PeerOutbox>, shared:
         let Some(mut stream) = connect_with_backoff(addr, &shared) else {
             return;
         };
-        shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
+        shared.stats.count_connection(had_connection);
+        had_connection = true;
         let _ = stream.set_nodelay(true);
         let preamble = encode_preamble(local);
         if stream.write_all(&preamble).is_err() {
@@ -1128,5 +1149,68 @@ mod tests {
             "coalescing can never issue more writes than frames"
         );
         mesh.shutdown();
+    }
+
+    /// `connects` counts first dials and `reconnects` only re-dials of a
+    /// peer that already had a live connection: a fault-free exchange shows
+    /// none, a crash and recovery of the peer at least one. The peer is a
+    /// bare listener, so the test decides when its connections die.
+    #[test]
+    fn reconnects_count_only_redials_after_a_lost_connection() {
+        let a = NodeId::Replica(ReplicaId(0));
+        let b = NodeId::Replica(ReplicaId(1));
+        let a_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let b_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let b_addr = b_listener.local_addr().unwrap();
+        let shared = Arc::new(MeshShared {
+            addresses: HashMap::from([(a, a_listener.local_addr().unwrap()), (b, b_addr)]),
+            stats: Arc::new(TransportStats::default()),
+            shutdown: AtomicBool::new(false),
+        });
+        let sender = TcpEndpoint::start(a, a_listener, Arc::clone(&shared)).unwrap();
+        let stats = sender.stats();
+        // The writer counts a connection before it writes the preamble, so
+        // reading the preamble orders the count before the assertions.
+        let mut preamble = [0u8; PREAMBLE_LEN];
+
+        for seq in 0..8 {
+            sender.send(b, &state_request(seq)).unwrap();
+        }
+        let (mut conn, _) = b_listener.accept().unwrap();
+        conn.read_exact(&mut preamble).unwrap();
+        assert_eq!(decode_preamble(&preamble), Some(a));
+        assert_eq!((stats.connects(), stats.reconnects()), (1, 0));
+
+        // Crash b (connection and listener closed), then recover it on its
+        // address; a keeps sending until its failed writes make the writer
+        // re-dial.
+        drop(conn);
+        drop(b_listener);
+        let b_listener = (0..100)
+            .find_map(|_| {
+                TcpListener::bind(b_addr).ok().or_else(|| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    None
+                })
+            })
+            .expect("rebind b's address");
+        b_listener.set_nonblocking(true).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut conn = loop {
+            assert!(std::time::Instant::now() < deadline, "a never re-dialled b");
+            sender.send(b, &state_request(100)).unwrap();
+            match b_listener.accept() {
+                Ok((conn, _)) => break conn,
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        conn.set_nonblocking(false).unwrap();
+        conn.read_exact(&mut preamble).unwrap();
+        assert!(
+            stats.reconnects() >= 1,
+            "the lost connection was re-dialled"
+        );
+        assert_eq!(stats.connects(), 1, "a re-dial is not a first dial");
+        shared.shutdown.store(true, Ordering::Relaxed);
     }
 }

@@ -91,9 +91,12 @@ pub struct TransportReport {
     pub partial_writes: u64,
     /// Raw bytes read from sockets, preambles and mux tags included.
     pub bytes_read: u64,
-    /// Outbound connections established across the mesh (initial dials
-    /// included): `peers` on a clean run, anything above that is a rebuild
-    /// after a failed write — the flakiness signal the health rollup tracks.
+    /// First outbound connections established across the mesh: one per
+    /// dialled peer.
+    pub connects: u64,
+    /// Outbound connections re-established to a peer that already had one:
+    /// zero on a clean run, every count a rebuild after a failed write —
+    /// the flakiness signal the health rollup tracks.
     pub reconnects: u64,
 }
 
@@ -110,6 +113,7 @@ impl TransportReport {
             vectored_writes: stats.vectored_writes(),
             partial_writes: stats.partial_writes(),
             bytes_read: stats.bytes_read(),
+            connects: stats.connects(),
             reconnects: stats.reconnects(),
         }
     }
@@ -419,6 +423,7 @@ impl RunReport {
             m.vectored_writes += t.vectored_writes;
             m.partial_writes += t.partial_writes;
             m.bytes_read += t.bytes_read;
+            m.connects += t.connects;
             m.reconnects += t.reconnects;
         }
         merged

@@ -1510,9 +1510,11 @@ mod tests {
         let text = seemore_telemetry::jsonl::trace_to_string(&report.trace);
         let parsed = seemore_telemetry::jsonl::parse_trace(&text).expect("trace parses back");
         assert_eq!(parsed, report.trace);
-        // Socket runs also surface mesh reconnect totals in the report.
+        // Socket runs also surface mesh connection totals in the report; a
+        // fault-free run dials every peer once and never reconnects.
         let transport = report.transport.expect("socket runs report transport");
-        assert!(transport.reconnects > 0, "initial dials count as connects");
+        assert!(transport.connects > 0, "initial dials count as connects");
+        assert_eq!(transport.reconnects, 0, "first dials are not reconnects");
     }
 
     #[test]
